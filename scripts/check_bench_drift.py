@@ -3,19 +3,19 @@
 
 Usage::
 
-    python scripts/check_bench_drift.py BENCH_build.json fresh_build.json
     python scripts/check_bench_drift.py BENCH_serve.json fresh_serve.json \
         --tolerance 0.5
+    python scripts/check_bench_drift.py BENCH_query.json fresh_query.json
 
 Two layers of checks:
 
 - **invariants** are compared exactly and always enforced: the bench
   kind, the workload spec (same generator/size/seed — a drifted
   workload makes the timing comparison meaningless), and the
-  correctness outcomes (``identical_weights`` for the build bench,
-  ``query_errors == 0`` for the serve bench — including the sharded
-  scaling points, whose 2-worker speedup is additionally gated at
-  >= 1.5x whenever the candidate artifact records >= 2 CPUs);
+  correctness outcomes (``query_errors == 0`` for the serve bench —
+  including the sharded scaling points, whose 2-worker speedup is
+  additionally gated at >= 1.5x whenever the candidate artifact records
+  >= 2 CPUs — and ``identical_answers`` for the query bench);
 - **performance** is compared as a ratio and enforced only within
   ``--tolerance``: the candidate may be up to ``(1 - tolerance)``
   slower than the baseline before the script fails.  Timing on shared
@@ -39,11 +39,6 @@ EXIT_ERROR = 2
 
 # (json pointer, higher-is-better) performance metrics per bench kind.
 PERF_METRICS = {
-    "build": [
-        (("speedup",), True),
-        (("serial_seconds",), False),
-        (("parallel_seconds",), False),
-    ],
     "serve": [
         (("uncached", "throughput_qps"), True),
         (("cached", "throughput_qps"), True),
@@ -78,19 +73,7 @@ def _get(doc, pointer: Tuple[str, ...]):
 
 def _invariant_failures(kind: str, baseline, candidate) -> List[str]:
     failures: List[str] = []
-    if kind == "build":
-        if candidate.get("identical_weights") is not True:
-            failures.append(
-                "correctness: parallel build no longer matches serial "
-                "(identical_weights != true)"
-            )
-        for ptr in (("workload",),):
-            if _get(baseline, ptr) != _get(candidate, ptr):
-                failures.append(
-                    f"workload drifted: {_get(baseline, ptr)!r} -> "
-                    f"{_get(candidate, ptr)!r}"
-                )
-    elif kind == "serve":
+    if kind == "serve":
         for phase in ("uncached", "cached"):
             errors = _get(candidate, (phase, "query_errors"))
             if errors != 0:

@@ -5,7 +5,7 @@ review found two real data races by hand (the cache stale-put race and
 the unsynchronized ``_inflight`` counter).  This module makes that
 class of bug *mechanically* rediscoverable: every piece of shared
 mutable state in the threaded modules (``repro.serve``,
-``repro.parallel``, ``repro.obs.runtime``) must carry a ``guarded-by``
+``repro.obs.runtime``) must carry a ``guarded-by``
 annotation naming its synchronization discipline, and an AST pass
 verifies the code against the declared contract.
 
@@ -618,7 +618,7 @@ def guard_specs_for_class(
 # ----------------------------------------------------------------------
 def _in_scope(ctx: ModuleContext) -> bool:
     parts = ctx.package_parts
-    if "serve" in parts or "parallel" in parts:
+    if "serve" in parts:
         return True
     return len(parts) >= 2 and parts[-2] == "obs" and parts[-1] == "runtime.py"
 
@@ -648,7 +648,7 @@ class GuardedByMissingRule(_ConcurrencyRule):
     id = "guarded-by-missing"
     description = (
         "shared mutable state in a threaded module (repro.serve / "
-        "repro.parallel / repro.obs.runtime) has no `# guarded-by:` "
+        "repro.obs.runtime) has no `# guarded-by:` "
         "annotation declaring its synchronization discipline"
     )
 

@@ -1249,7 +1249,7 @@ def _module_report(ctx: ModuleContext) -> _Report:
 # ----------------------------------------------------------------------
 def _in_scope(ctx: ModuleContext) -> bool:
     parts = ctx.package_parts
-    if "serve" in parts or "parallel" in parts:
+    if "serve" in parts:
         return True
     if len(parts) >= 2 and parts[-2] == "index":
         return parts[-1] == "persistence.py"

@@ -33,10 +33,10 @@ the paper at production scale:
     :class:`repro.obs.timing.Stopwatch` / ``repro.obs.timing.monotonic``
     so measurements land in the metrics registry consistently.
 ``multiprocessing-outside-parallel``
-    pool lifecycle, start-method choice and the ``jobs=1`` serial
-    guarantee live in :mod:`repro.parallel`; direct ``multiprocessing``
-    / ``concurrent.futures`` imports elsewhere fork uncontrolled worker
-    processes — go through :class:`repro.parallel.PieceExecutor`.
+    worker-process lifecycle lives in the sharded serving tier of
+    :mod:`repro.serve`; direct ``multiprocessing`` /
+    ``concurrent.futures`` imports elsewhere fork uncontrolled worker
+    processes — go through :class:`repro.serve.ShardGateway`.
 """
 
 from __future__ import annotations
@@ -559,23 +559,17 @@ class MultiprocessingOutsideParallelRule(Rule):
     id = "multiprocessing-outside-parallel"
     description = (
         "multiprocessing / concurrent.futures imported outside "
-        "repro.parallel or repro.serve; pool lifecycle and the jobs=1 "
-        "serial guarantee live in parallel, the sharded worker tier in "
-        "serve — use repro.parallel.PieceExecutor or "
-        "repro.serve.ShardGateway"
+        "repro.serve; worker-process lifecycle lives in the sharded "
+        "serving tier — use repro.serve.ShardGateway"
     )
 
     _FORBIDDEN_ROOTS = frozenset({"multiprocessing", "concurrent"})
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        # repro.parallel is the sanctioned home of compute process
-        # pools; repro.serve additionally hosts the sharded serving
-        # tier (shard.py), whose worker processes and shared-memory
-        # segments are its whole point.
-        return (
-            "parallel" not in ctx.package_parts
-            and "serve" not in ctx.package_parts
-        )
+        # repro.serve hosts the sharded serving tier (shard.py), whose
+        # worker processes and shared-memory segments are its whole
+        # point; it is the one sanctioned home of process pools.
+        return "serve" not in ctx.package_parts
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -586,9 +580,9 @@ class MultiprocessingOutsideParallelRule(Rule):
                         yield self.finding(
                             ctx,
                             node,
-                            f"`import {alias.name}` outside repro.parallel; "
+                            f"`import {alias.name}` outside repro.serve; "
                             "request workers through "
-                            "repro.parallel.PieceExecutor",
+                            "repro.serve.ShardGateway",
                         )
             elif isinstance(node, ast.ImportFrom) and node.module:
                 root = node.module.split(".", 1)[0]
@@ -605,8 +599,8 @@ class MultiprocessingOutsideParallelRule(Rule):
                         ctx,
                         node,
                         f"`from {node.module} import ...` outside "
-                        "repro.parallel; request workers through "
-                        "repro.parallel.PieceExecutor",
+                        "repro.serve; request workers through "
+                        "repro.serve.ShardGateway",
                     )
 
 
@@ -620,18 +614,14 @@ class ThreadingOutsideServeRule(Rule):
         "repro.serve.ServingIndex"
     )
 
-    _FORBIDDEN_ROOTS = frozenset({"threading", "_thread"})
-    #: thread-adjacent primitives allowed in serve *and* parallel
-    _POOL_ROOTS = frozenset({"queue"})
+    _FORBIDDEN_ROOTS = frozenset({"threading", "_thread", "queue"})
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        # repro.serve is the one sanctioned home of threads and locks;
-        # the thread-pool/queue checks additionally exempt
-        # repro.parallel.  A module inside serve never fires.
+        # repro.serve is the one sanctioned home of threads, locks,
+        # queues and thread pools.  A module inside serve never fires.
         return "serve" not in ctx.package_parts
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        check_pools = "parallel" not in ctx.package_parts
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -644,14 +634,6 @@ class ThreadingOutsideServeRule(Rule):
                             "concurrency belongs to "
                             "repro.serve.ServingIndex",
                         )
-                    elif check_pools and root in self._POOL_ROOTS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"`import {alias.name}` outside repro.serve / "
-                            "repro.parallel; thread coordination belongs "
-                            "to repro.serve.ServingIndex",
-                        )
             elif isinstance(node, ast.ImportFrom) and node.module:
                 root = node.module.split(".", 1)[0]
                 if root in self._FORBIDDEN_ROOTS:
@@ -662,17 +644,8 @@ class ThreadingOutsideServeRule(Rule):
                         "repro.serve; concurrency belongs to "
                         "repro.serve.ServingIndex",
                     )
-                elif check_pools and root in self._POOL_ROOTS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`from {node.module} import ...` outside "
-                        "repro.serve / repro.parallel; thread "
-                        "coordination belongs to repro.serve.ServingIndex",
-                    )
                 elif (
-                    check_pools
-                    and node.module == "concurrent.futures"
+                    node.module == "concurrent.futures"
                     and any(
                         alias.name == "ThreadPoolExecutor"
                         for alias in node.names
@@ -681,19 +654,17 @@ class ThreadingOutsideServeRule(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        "`ThreadPoolExecutor` imported outside repro.serve "
-                        "/ repro.parallel; thread fan-out belongs to "
-                        "repro.serve.ServingIndex",
+                        "`ThreadPoolExecutor` imported outside repro.serve; "
+                        "thread fan-out belongs to repro.serve.ServingIndex",
                     )
             elif (
-                check_pools
-                and isinstance(node, ast.Attribute)
+                isinstance(node, ast.Attribute)
                 and node.attr == "ThreadPoolExecutor"
             ):
                 yield self.finding(
                     ctx,
                     node,
                     "concurrent.futures.ThreadPoolExecutor used outside "
-                    "repro.serve / repro.parallel; thread fan-out belongs "
-                    "to repro.serve.ServingIndex",
+                    "repro.serve; thread fan-out belongs to "
+                    "repro.serve.ServingIndex",
                 )

@@ -78,9 +78,7 @@ def _cmd_build(args) -> int:
     print(f"building index for {graph.num_vertices} vertices, "
           f"{graph.num_edges} edges ...")
     watch = Stopwatch()
-    index = SMCCIndex.build(
-        graph, method=args.method, engine=args.engine, jobs=args.jobs
-    )
+    index = SMCCIndex.build(graph, method=args.method, engine=args.engine)
     elapsed = watch.lap()
     index.save(args.output)
     print(f"built in {elapsed:.2f}s; saved to {args.output}")
@@ -371,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default keeps file ids, so queries use them)")
     p.add_argument("--method", choices=["sharing", "batch"], default="sharing")
     p.add_argument("--engine", choices=["exact", "random", "cut"], default="exact")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for ConnGraph-BS piece fan-out "
-                        "(default: $REPRO_JOBS, else 1 = serial)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="query a saved index")

@@ -197,7 +197,6 @@ class SMCCIndex:
         method: str = "sharing",
         engine: str = "exact",
         with_star: bool = True,
-        jobs: Optional[int] = None,
         **engine_kwargs,
     ) -> "SMCCIndex":
         """Build the full index for ``graph``.
@@ -205,9 +204,7 @@ class SMCCIndex:
         ``method`` picks the connectivity-graph construction algorithm
         (``"sharing"`` = ConnGraph-BS, ``"batch"`` = ConnGraph-B);
         ``engine`` picks the KECC engine (``"exact"``, ``"random"``,
-        ``"cut"``).  ``jobs`` sets the worker-process count for
-        ConnGraph-BS piece fan-out (default: ``REPRO_JOBS``, else 1 =
-        serial).  With ``with_star=False`` the MST* structure is built
+        ``"cut"``).  With ``with_star=False`` the MST* structure is built
         lazily on the first sc query.  Options are keyword-only.
         """
         if args:
@@ -220,7 +217,7 @@ class SMCCIndex:
         with span("index.build") as build_span:
             with span("index.build.connectivity_graph"):
                 conn = build_connectivity_graph(
-                    graph, method=method, engine=engine, jobs=jobs, **engine_kwargs
+                    graph, method=method, engine=engine, **engine_kwargs
                 )
             with span("index.build.mst"):
                 mst = build_mst(conn)

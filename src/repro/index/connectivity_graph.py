@@ -15,44 +15,19 @@ Two construction algorithms from Section 5.1.1:
   k-eccs of round ``k`` as the input of round ``k+1`` and assigns each
   edge's sc exactly once, when the edge is removed (Lemma 5.1) —
   ``O(α(G) · h · l · |E|)``.
-
-ConnGraph-BS additionally parallelizes: the pieces of each round are
-independent by construction (Lemma 5.1 assigns every edge's sc inside
-its own piece), so with ``jobs >= 2`` the per-piece KECC calls fan out
-over a :class:`~repro.parallel.executor.PieceExecutor` process pool —
-largest piece first, with small pieces run inline in the parent while
-pool results are in flight.  Parallel and serial builds produce
-identical sc maps: the k-ecc partition of each piece is unique, and
-all sc assignment happens in the parent in deterministic piece order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import EdgeNotFoundError, GraphError
 from repro.graph.graph import Graph, edge_key
 from repro.kecc import get_engine
 from repro.obs import runtime as _obs
 from repro.obs.spans import span
-from repro.parallel import (
-    PieceExecutor,
-    PiecePayload,
-    encode_piece,
-    kecc_piece_worker,
-    localize_edges,
-    piece_arrays_from_edges,
-    plan_round,
-    resolve_jobs,
-    resolve_min_piece_edges,
-)
 
 Edge = Tuple[int, int]
-
-#: an array-shaped piece of one ConnGraph-BS round: (vertices, us, vs)
-ArrayPiece = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ConnectivityGraph:
@@ -138,7 +113,6 @@ def build_connectivity_graph(
     graph: Graph,
     method: str = "sharing",
     engine: str = "exact",
-    jobs: Optional[int] = None,
     **engine_kwargs: Any,
 ) -> ConnectivityGraph:
     """Build the connectivity graph of ``graph``.
@@ -147,14 +121,9 @@ def build_connectivity_graph(
     ``"batch"`` (ConnGraph-B).  ``engine`` selects the KECC engine
     (``"exact"``, ``"random"`` or ``"cut"``); extra keyword arguments are
     forwarded to the engine (e.g. ``seed=...`` for the random engine).
-
-    ``jobs`` sets the worker-process count for ConnGraph-BS piece
-    fan-out (default: the ``REPRO_JOBS`` environment variable, else 1 =
-    strictly serial).  ConnGraph-B has no per-piece decomposition to
-    fan out, so it always runs serially.
     """
     if method == "sharing":
-        return conn_graph_sharing(graph, engine=engine, jobs=jobs, **engine_kwargs)
+        return conn_graph_sharing(graph, engine=engine, **engine_kwargs)
     if method == "batch":
         return conn_graph_batch(graph, engine=engine, **engine_kwargs)
     raise ValueError(f"unknown construction method {method!r}; use 'sharing' or 'batch'")
@@ -195,41 +164,14 @@ def conn_graph_batch(
 
 
 def conn_graph_sharing(
-    graph: Graph,
-    engine: str = "exact",
-    jobs: Optional[int] = None,
-    min_piece_edges: Optional[int] = None,
-    **engine_kwargs: Any,
+    graph: Graph, engine: str = "exact", **engine_kwargs: Any
 ) -> ConnectivityGraph:
     """ConnGraph-BS (Algorithm 6): batch processing with computation sharing.
 
     Round ``k`` takes the (k-1)-edge connected components as input instead
     of ``G``, and each edge's sc is assigned exactly once — to ``k - 1``
     at the moment the edge is removed (Lemma 5.1).
-
-    With ``jobs >= 2`` (explicit argument or ``REPRO_JOBS``) the
-    independent pieces of each round fan out over a process pool,
-    largest piece first; pieces under ``min_piece_edges`` edges
-    (default :data:`repro.parallel.DEFAULT_MIN_PIECE_EDGES`) run inline
-    in the parent, which also keeps tiny builds pool-free.  ``jobs=1``
-    is guaranteed to take the serial path without spawning anything.
     """
-    effective_jobs = resolve_jobs(jobs)
-    if effective_jobs <= 1:
-        return _conn_graph_sharing_serial(graph, engine, **engine_kwargs)
-    return _conn_graph_sharing_parallel(
-        graph,
-        engine,
-        effective_jobs,
-        resolve_min_piece_edges(min_piece_edges),
-        **engine_kwargs,
-    )
-
-
-def _conn_graph_sharing_serial(
-    graph: Graph, engine: str = "exact", **engine_kwargs: Any
-) -> ConnectivityGraph:
-    """The strictly serial ConnGraph-BS loop (the ``jobs=1`` path)."""
     kecc: Callable = get_engine(engine)
     sc: Dict[Edge, int] = {}
     # phi_1: connected components, each carried as (vertices, edges).
@@ -239,30 +181,30 @@ def _conn_graph_sharing_serial(
         k += 1
         with span("conn_graph.sharing.round") as round_span:
             round_span.set("k", k)
+            sizes = [len(piece_edges) for _, piece_edges in pieces]
             round_span.set("pieces", len(pieces))
+            round_span.set("edges", sum(sizes))
+            round_span.set("max_piece_edges", max(sizes))
             next_pieces: List[Tuple[List[int], List[Edge]]] = []
             for vertices, piece_edges in pieces:
-                with span("conn_graph.sharing.piece") as piece_span:
-                    piece_span.set("vertices", len(vertices))
-                    piece_span.set("edges", len(piece_edges))
-                    index = {v: i for i, v in enumerate(vertices)}
-                    local_edges = [(index[u], index[v]) for u, v in piece_edges]
-                    groups = kecc(len(vertices), local_edges, k, **engine_kwargs)
-                    owner = _owner_map(groups)
-                    edges_by_group: Dict[int, List[Edge]] = {}
-                    for (u, v), (lu, lv) in zip(piece_edges, local_edges):
-                        if owner[lu] != owner[lv]:
-                            # Removed while computing k-eccs of a (k-1)-edge
-                            # connected graph: sc is exactly k - 1 (Lemma 5.1).
-                            sc[edge_key(u, v)] = k - 1
-                        else:
-                            edges_by_group.setdefault(owner[lu], []).append((u, v))
-                    for group in groups:
-                        if len(group) < 2:
-                            continue
-                        kept = edges_by_group.get(owner[group[0]], [])
-                        if kept:
-                            next_pieces.append(([vertices[i] for i in group], kept))
+                index = {v: i for i, v in enumerate(vertices)}
+                local_edges = [(index[u], index[v]) for u, v in piece_edges]
+                groups = kecc(len(vertices), local_edges, k, **engine_kwargs)
+                owner = _owner_map(groups)
+                edges_by_group: Dict[int, List[Edge]] = {}
+                for (u, v), (lu, lv) in zip(piece_edges, local_edges):
+                    if owner[lu] != owner[lv]:
+                        # Removed while computing k-eccs of a (k-1)-edge
+                        # connected graph: sc is exactly k - 1 (Lemma 5.1).
+                        sc[edge_key(u, v)] = k - 1
+                    else:
+                        edges_by_group.setdefault(owner[lu], []).append((u, v))
+                for group in groups:
+                    if len(group) < 2:
+                        continue
+                    kept = edges_by_group.get(owner[group[0]], [])
+                    if kept:
+                        next_pieces.append(([vertices[i] for i in group], kept))
             pieces = next_pieces
     registry = _obs.REGISTRY
     if registry is not None:
@@ -270,129 +212,6 @@ def _conn_graph_sharing_serial(
     conn = ConnectivityGraph(graph, sc)
     conn.validate()
     return conn
-
-
-def _conn_graph_sharing_parallel(
-    graph: Graph,
-    engine: str,
-    jobs: int,
-    min_piece_edges: int,
-    **engine_kwargs: Any,
-) -> ConnectivityGraph:
-    """ConnGraph-BS with per-piece fan-out over a process pool.
-
-    Pieces travel as flat int64 arrays (vertices + edge endpoint
-    columns) from round to round, so pool payload encoding is free and
-    sc assignment / next-round piece splitting run vectorized in the
-    parent.  One pool is reused across all rounds; it is created
-    lazily, so a build whose pieces never clear ``min_piece_edges``
-    stays pool-free.
-    """
-    sc: Dict[Edge, int] = {}
-    pieces: List[ArrayPiece] = [
-        piece_arrays_from_edges(vertices, piece_edges)
-        for vertices, piece_edges in _component_pieces(graph)
-    ]
-    registry = _obs.REGISTRY
-    k = 1
-    with PieceExecutor(jobs) as executor:
-        while pieces:
-            k += 1
-            with span("conn_graph.parallel.round") as round_span:
-                round_span.set("k", k)
-                round_span.set("pieces", len(pieces))
-                sizes = [len(us) for _, us, _ in pieces]
-                plan = plan_round(sizes, min_piece_edges, jobs)
-                payloads: Dict[int, PiecePayload] = {
-                    i: encode_piece(
-                        pieces[i][0], pieces[i][1], pieces[i][2],
-                        k, engine, engine_kwargs,
-                    )
-                    for i in (*plan.pooled, *plan.inline)
-                }
-                futures = {
-                    i: executor.submit(kecc_piece_worker, payloads[i])
-                    for i in plan.pooled
-                }
-                owners: Dict[int, np.ndarray] = {}
-                # Small pieces run here while the pool crunches big ones.
-                for i in plan.inline:
-                    with span("conn_graph.parallel.piece") as piece_span:
-                        piece_span.set("vertices", len(pieces[i][0]))
-                        piece_span.set("edges", sizes[i])
-                        piece_span.set("where", "inline")
-                        owners[i] = kecc_piece_worker(payloads[i])
-                with span("conn_graph.parallel.collect"):
-                    for i, future in futures.items():
-                        owners[i] = future.result()
-                if registry is not None:
-                    registry.counter("conn_graph.parallel.pieces_pooled").inc(
-                        len(plan.pooled)
-                    )
-                    registry.counter("conn_graph.parallel.pieces_inline").inc(
-                        len(plan.inline)
-                    )
-                    registry.counter("conn_graph.parallel.edges_pooled").inc(
-                        sum(sizes[i] for i in plan.pooled)
-                    )
-                # Consume in original piece order: sc assignment and the
-                # next round's piece list are deterministic regardless of
-                # scheduling (and the sc values themselves depend only on
-                # each piece's unique k-ecc partition).
-                next_pieces: List[ArrayPiece] = []
-                for i, (vertices, us, vs) in enumerate(pieces):
-                    _consume_piece_arrays(
-                        vertices, us, vs, owners[i], k, sc, next_pieces
-                    )
-                pieces = next_pieces
-    if registry is not None:
-        registry.counter("conn_graph.sharing.rounds").inc(k - 1)
-        registry.counter("conn_graph.parallel.rounds").inc(k - 1)
-        registry.gauge("conn_graph.parallel.jobs").set(jobs)
-    conn = ConnectivityGraph(graph, sc)
-    conn.validate()
-    return conn
-
-
-def _consume_piece_arrays(
-    vertices: np.ndarray,
-    us: np.ndarray,
-    vs: np.ndarray,
-    owner: np.ndarray,
-    k: int,
-    sc: Dict[Edge, int],
-    next_pieces: List[ArrayPiece],
-) -> None:
-    """Apply one piece's k-ecc partition: assign sc, split survivors.
-
-    ``owner[i]`` is the group id of ``vertices[i]``.  Edges whose
-    endpoints fall in different groups were removed by round ``k``'s
-    KECC computation, so their sc is ``k - 1`` (Lemma 5.1); the rest
-    carry over into their group's piece for round ``k + 1``.
-    """
-    lu, lv = localize_edges(vertices, us, vs)
-    owner_u = owner[lu]
-    owner_v = owner[lv]
-    removed = owner_u != owner_v
-    for idx in np.flatnonzero(removed).tolist():
-        # Endpoint columns are canonicalized (u < v) on encoding.
-        sc[(int(us[idx]), int(vs[idx]))] = k - 1
-    kept = ~removed
-    if not kept.any():
-        return
-    kept_us = us[kept]
-    kept_vs = vs[kept]
-    kept_owner = owner_u[kept]
-    order = np.argsort(kept_owner, kind="stable")
-    kept_us = kept_us[order]
-    kept_vs = kept_vs[order]
-    kept_owner = kept_owner[order]
-    boundaries = np.flatnonzero(np.diff(kept_owner)) + 1
-    starts = [0, *boundaries.tolist(), len(kept_owner)]
-    for s, e in zip(starts[:-1], starts[1:]):
-        gid = kept_owner[s]
-        group_vertices = vertices[owner == gid]
-        next_pieces.append((group_vertices, kept_us[s:e], kept_vs[s:e]))
 
 
 # ----------------------------------------------------------------------

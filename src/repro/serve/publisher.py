@@ -194,30 +194,6 @@ class SnapshotPublisher:
             affected=frozenset(batch_affected),
         )
 
-    def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Insert one edge (low-level; raises on duplicates/self-loops).
-
-        Prefer :meth:`apply_updates`, which batches, tolerates no-ops,
-        and returns a structured report.
-        """
-        with self._lock:
-            changes = self._index.insert_edge(u, v)
-            self._note_changes(u, v, changes)
-            insort(self._edges_list, edge_key(u, v))
-            return changes
-
-    def delete_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Delete one edge (low-level; raises when the edge is missing).
-
-        Prefer :meth:`apply_updates`, which batches, tolerates no-ops,
-        and returns a structured report.
-        """
-        with self._lock:
-            changes = self._index.delete_edge(u, v)
-            self._note_changes(u, v, changes)
-            self._drop_edge_key(u, v)
-            return changes
-
     # guarded-by: _lock
     def _note_changes(
         self, u: int, v: int, changes: List[Tuple[int, int, int]]

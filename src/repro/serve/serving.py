@@ -25,7 +25,6 @@ All serve-side metrics land in the :mod:`repro.obs` registry under the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -196,32 +195,6 @@ class ServingIndex:
         report = self.publisher.apply_updates(inserts=inserts, deletes=deletes)
         self._maybe_auto_publish()
         return report
-
-    def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Deprecated: use ``apply_updates(inserts=[(u, v)])``."""
-        warnings.warn(
-            "ServingIndex.insert_edge() is deprecated and will be removed "
-            "in a future release; use apply_updates(inserts=[(u, v)]), "
-            "which batches and returns an UpdateReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        changes = self.publisher.insert_edge(u, v)
-        self._maybe_auto_publish()
-        return changes
-
-    def delete_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Deprecated: use ``apply_updates(deletes=[(u, v)])``."""
-        warnings.warn(
-            "ServingIndex.delete_edge() is deprecated and will be removed "
-            "in a future release; use apply_updates(deletes=[(u, v)]), "
-            "which batches and returns an UpdateReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        changes = self.publisher.delete_edge(u, v)
-        self._maybe_auto_publish()
-        return changes
 
     def _maybe_auto_publish(self) -> None:
         every = self.config.auto_publish_every

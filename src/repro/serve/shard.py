@@ -46,10 +46,10 @@ answer therefore reflects exactly one published generation — the same
 observation-window contract the in-process stateful suite enforces.
 
 This module lives inside ``repro.serve`` — the sanctioned home of
-concurrency — and is the one place outside ``repro.parallel`` allowed
-to import ``multiprocessing`` (the shard carve-out of the
-``multiprocessing-outside-parallel`` lint rule): worker lifecycle and
-shared-memory lifetime are part of the serving tier's lock discipline.
+concurrency — and is the one place allowed to import
+``multiprocessing`` (the ``multiprocessing-outside-parallel`` lint
+rule exempts only ``repro.serve``): worker lifecycle and shared-memory
+lifetime are part of the serving tier's lock discipline.
 """
 
 from __future__ import annotations

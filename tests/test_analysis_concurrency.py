@@ -117,7 +117,7 @@ class TestGuardSpecGrammar:
 
 
 # ----------------------------------------------------------------------
-# Rule corpus (scope: serve/, parallel/, obs/runtime.py)
+# Rule corpus (scope: serve/, obs/runtime.py)
 # ----------------------------------------------------------------------
 MISSING_SRC = FUTURE + textwrap.dedent(
     """

@@ -291,38 +291,39 @@ class TestRuleDetails:
             "threading-outside-serve",
         ]
 
-    def test_multiprocessing_allowed_inside_parallel(self):
+    def test_multiprocessing_allowed_only_inside_serve(self):
         source = FUTURE + (
             "import multiprocessing\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
         )
-        # repro.parallel is the sanctioned home of process pools, and
-        # repro.serve hosts the sharded worker tier ...
-        assert lint_source(source, path="parallel/executor.py") == []
+        # repro.serve hosts the sharded worker tier, the one sanctioned
+        # home of process pools ...
         assert lint_source(source, path="serve/shard.py") == []
-        # ... everywhere else both import forms are rejected.
-        findings = lint_source(source, path="index/snippet.py")
-        assert [f.rule for f in findings] == [
-            "multiprocessing-outside-parallel",
-            "multiprocessing-outside-parallel",
-        ]
+        # ... everywhere else both import forms are rejected, a
+        # directory named parallel/ included.
+        for path in ("index/snippet.py", "parallel/executor.py"):
+            findings = lint_source(source, path=path)
+            assert [f.rule for f in findings] == [
+                "multiprocessing-outside-parallel",
+                "multiprocessing-outside-parallel",
+            ]
 
-    def test_thread_pools_allowed_inside_serve_and_parallel(self):
+    def test_thread_pools_allowed_only_inside_serve(self):
         source = FUTURE + (
             "from concurrent.futures import ThreadPoolExecutor\n"
             "import queue\n"
         )
-        # Thread pools and queues are sanctioned in serve *and*
-        # parallel (the multiprocessing rule defers ThreadPoolExecutor
-        # to the threading rule, so serve stays clean too) ...
+        # Thread pools and queues are sanctioned in serve only (the
+        # multiprocessing rule defers ThreadPoolExecutor to the
+        # threading rule, so serve stays clean too) ...
         assert lint_source(source, path="serve/workers.py") == []
-        assert lint_source(source, path="parallel/pool.py") == []
-        # ... and rejected everywhere else.
-        findings = lint_source(source, path="index/snippet.py")
-        assert [f.rule for f in findings] == [
-            "threading-outside-serve",
-            "threading-outside-serve",
-        ]
+        # ... and rejected everywhere else, parallel/ included.
+        for path in ("index/snippet.py", "parallel/pool.py"):
+            findings = lint_source(source, path=path)
+            assert [f.rule for f in findings] == [
+                "threading-outside-serve",
+                "threading-outside-serve",
+            ]
 
     def test_thread_pool_attribute_flagged_outside_serve(self):
         source = FUTURE + (

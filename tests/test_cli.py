@@ -37,13 +37,6 @@ class TestStatsAndGenerate:
 
 
 class TestBuildQueryUpdate:
-    def test_build_with_jobs_flag(self, graph_file, tmp_path, capsys):
-        out = str(tmp_path / "index_jobs")
-        assert main(["build", graph_file, "-o", out, "--jobs", "2"]) == 0
-        assert "saved to" in capsys.readouterr().out
-        assert main(["query", out, "--sc", "0", "3", "4"]) == 0
-        assert "sc([0, 3, 4]) = 4" in capsys.readouterr().out
-
     def test_sc_query(self, index_dir, capsys):
         assert main(["query", index_dir, "--sc", "0", "3", "4"]) == 0
         assert "sc([0, 3, 4]) = 4" in capsys.readouterr().out

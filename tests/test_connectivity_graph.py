@@ -1,5 +1,7 @@
 """Unit tests for the connectivity graph and its construction algorithms."""
 
+import random
+
 import pytest
 
 from conftest import brute_force_sc_pairs, random_connected_graph
@@ -17,6 +19,33 @@ from repro.index.connectivity_graph import (
     conn_graph_batch,
     conn_graph_sharing,
 )
+
+ENGINES = [("exact", {}), ("random", {"seed": 7}), ("cut", {})]
+
+
+def _multi_component_graph(seed: int) -> Graph:
+    """Random graph with 2-3 components plus two isolated vertices."""
+    rng = random.Random(seed)
+    parts = []
+    for _ in range(rng.randint(2, 3)):
+        n = rng.randint(3, 9)
+        comp = Graph(n)
+        vertices = list(range(n))
+        rng.shuffle(vertices)
+        for i in range(1, n):
+            comp.add_edge(vertices[i], vertices[rng.randrange(i)])
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v and not comp.has_edge(u, v):
+                comp.add_edge(u, v)
+        parts.append(comp)
+    graph = Graph(sum(p.num_vertices for p in parts) + 2)
+    offset = 0
+    for comp in parts:
+        for u, v in comp.edges():
+            graph.add_edge(offset + u, offset + v)
+        offset += comp.num_vertices
+    return graph
 
 
 class TestConnectivityGraphContainer:
@@ -97,10 +126,11 @@ class TestConstructionCorrectness:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_methods_agree_on_random_graphs(self, seed):
-        graph = random_connected_graph(seed)
-        a = conn_graph_sharing(graph.copy())
-        b = conn_graph_batch(graph.copy())
-        assert a.weights_dict() == b.weights_dict()
+        for graph in (random_connected_graph(seed), _multi_component_graph(seed)):
+            for engine, kwargs in ENGINES:
+                a = conn_graph_sharing(graph.copy(), engine=engine, **kwargs)
+                b = conn_graph_batch(graph.copy(), engine=engine, **kwargs)
+                assert a.weights_dict() == b.weights_dict(), engine
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_oracle(self, seed):

@@ -131,7 +131,26 @@ class TestInstrumentedBuildAndMaintenance:
             "index.build.mst_star",
         ]
         assert build.attrs["n"] == graph.num_vertices
-        assert registry.counter("conn_graph.sharing.rounds").value > 0
+        rounds = registry.counter("conn_graph.sharing.rounds").value
+        assert rounds > 0
+        # One span per round, none per piece: the tree stays bounded by
+        # the round count however many pieces a round fractures into.
+        names = []
+        stack = list(build.children)
+        while stack:
+            record = stack.pop()
+            names.append(record.name)
+            stack.extend(record.children)
+        assert "conn_graph.sharing.piece" not in names
+        conn_span = build.children[0]
+        round_spans = [
+            c for c in conn_span.children if c.name == "conn_graph.sharing.round"
+        ]
+        assert len(round_spans) == rounds
+        for record in round_spans:
+            attrs = record.attrs
+            assert attrs["pieces"] >= 1
+            assert attrs["edges"] >= attrs["max_piece_edges"] >= 1
 
     def test_build_under_collect_counts_kecc_rounds(self):
         graph = ssca_graph(200, seed=4)

@@ -261,7 +261,7 @@ class TestServingIndex:
         fresh = SMCCIndex.build(paper_example_graph())
         q = [0, 3, 4]
         before = serving.sc(q)
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         # Unpublished: the served answer is the old generation's.
         assert serving.sc(q) == before
         assert serving.staleness() == 1
@@ -275,7 +275,7 @@ class TestServingIndex:
         serving = ServingIndex.build(paper_graph)
         old = serving.snapshot()
         before = old.steiner_connectivity([0, 3, 4])
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         serving.publish()
         assert serving.snapshot().generation == 1
         assert old.generation == 0
@@ -288,7 +288,7 @@ class TestServingIndex:
             for q in queries:
                 assert serving.sc(q) == \
                     serving.snapshot().steiner_connectivity(q)
-        serving.delete_edge(0, 1)
+        serving.apply_updates(deletes=[(0, 1)])
         serving.publish()
         for q in queries:
             assert serving.sc(q) == serving.snapshot().steiner_connectivity(q)
@@ -330,7 +330,8 @@ class TestServingIndex:
 
     def test_stale_index_degrades_to_direct_engine(self, paper_graph):
         serving = ServingIndex.build(paper_graph)
-        serving.insert_edge(0, 12)  # not published: snapshot is stale
+        # Not published: the snapshot is stale.
+        serving.apply_updates(inserts=[(0, 12)])
         fresh = SMCCIndex.build(paper_example_graph())
         fresh.insert_edge(0, 12)
         q = [0, 11, 12]
@@ -344,7 +345,7 @@ class TestServingIndex:
 
     def test_degraded_smcc_and_smcc_l(self, paper_graph):
         serving = ServingIndex.build(paper_graph)
-        serving.delete_edge(0, 1)
+        serving.apply_updates(deletes=[(0, 1)])
         fresh = SMCCIndex.build(paper_example_graph())
         fresh.delete_edge(0, 1)
         got = serving.smcc([0, 3, 4], max_staleness=0)
@@ -358,7 +359,8 @@ class TestServingIndex:
     def test_degraded_batch_answers_zero_for_disconnected(self):
         graph = clique_chain_graph([4, 4])
         serving = ServingIndex.build(graph)
-        serving.delete_edge(0, 4)  # cut the bridge: two components, stale
+        # Cut the bridge: two components, stale.
+        serving.apply_updates(deletes=[(0, 4)])
         answers = serving.sc_batch([[0, 1], [0, 5]], max_staleness=0)
         assert answers[0] == 3 and answers[1] == 0
 
@@ -366,9 +368,9 @@ class TestServingIndex:
         serving = ServingIndex.build(
             paper_graph, config=ServeConfig(auto_publish_every=2)
         )
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         assert serving.generation == 0
-        serving.delete_edge(0, 12)
+        serving.apply_updates(deletes=[(0, 12)])
         assert serving.generation == 1  # second update triggered publish
         assert serving.staleness() == 0
 
@@ -384,7 +386,7 @@ class TestServingIndex:
             paper_graph, config=ServeConfig(invalidation="wholesale")
         )
         serving.sc([10, 11, 12])
-        serving.insert_edge(0, 12)
+        serving.apply_updates(inserts=[(0, 12)])
         serving.publish()
         assert len(serving.cache) == 0  # everything dropped
 
@@ -399,7 +401,7 @@ class TestServingIndex:
         near = [9, 10]      # inside the K6 (vertices 9..14)
         serving.sc(far)
         serving.sc(near)
-        serving.delete_edge(9, 10)
+        serving.apply_updates(deletes=[(9, 10)])
         serving.publish()
         stats = serving.cache.stats()
         assert stats["carried_over"] >= 1
@@ -459,14 +461,6 @@ class TestWriterApi:
         assert report.snapshot.generation == 1
         assert 0.0 <= report.shared_fraction <= 1.0
 
-    def test_insert_delete_edge_deprecated_but_working(self, paper_graph):
-        serving = ServingIndex.build(paper_graph)
-        with pytest.warns(DeprecationWarning, match="insert_edge"):
-            serving.insert_edge(0, 12)
-        with pytest.warns(DeprecationWarning, match="delete_edge"):
-            serving.delete_edge(0, 12)
-        assert serving.staleness() == 2  # both updates landed
-
     def test_publish_report_forwards_snapshot_attrs_with_warning(
         self, paper_graph
     ):
@@ -523,7 +517,7 @@ class TestServeMetrics:
             serving.sc([0, 3, 4])
             serving.sc([0, 3, 4])
             serving.sc_batch([[1, 2], [2, 1]])
-            serving.insert_edge(0, 12)
+            serving.apply_updates(inserts=[(0, 12)])
             serving.sc([5, 6], max_staleness=0)
             serving.publish()
             with pytest.raises(DeadlineExceededError):
